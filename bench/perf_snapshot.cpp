@@ -11,6 +11,7 @@
 //
 // Usage: perf_snapshot [--out=BENCH_sim.json] [--n=256] [--reps=5]
 //                      [--baseline-broadcast=MSGS_PER_SEC]
+// Unknown flags and positional arguments exit 2; --help prints the usage.
 // The optional baseline is a previously measured broadcast-delivery rate
 // (same machine, same flags); when given, the document records it and the
 // resulting speedup factor.
@@ -181,15 +182,42 @@ void emit(std::ostream& out, const std::string& name, const char* unit,
       << (last ? "\n" : ",\n");
 }
 
+constexpr const char* kUsage =
+    "usage: perf_snapshot [--out=BENCH_sim.json] [--n=256] [--reps=5]\n"
+    "                     [--baseline-broadcast=MSGS_PER_SEC]\n";
+
 }  // namespace
 
 int main(int argc, char** argv) {
   const Options opts(argc, argv);
-  const auto n = static_cast<ProcId>(opts.get_int("n", 256));
-  const int reps = static_cast<int>(opts.get_int("reps", 5));
-  const std::string out_path = opts.get_string("out", "BENCH_sim.json");
-  const double baseline = opts.get_double("baseline-broadcast", 0.0);
-  HYCO_CHECK_MSG(n > 0 && reps > 0, "--n and --reps must be positive");
+  if (opts.has("help")) {
+    std::cout << kUsage;
+    return 0;
+  }
+  ProcId n = 0;
+  int reps = 0;
+  std::string out_path;
+  double baseline = 0.0;
+  try {
+    // Flags take --key=value: a space-separated value would parse as a
+    // bare flag plus a positional argument, so both are rejected.
+    for (const std::string& key : opts.keys()) {
+      HYCO_CHECK_MSG(key == "out" || key == "n" || key == "reps" ||
+                         key == "baseline-broadcast",
+                     "--" << key << ": unknown flag");
+    }
+    HYCO_CHECK_MSG(opts.positional().empty(),
+                   "unexpected argument \"" << opts.positional().front()
+                                             << "\" (flags take --key=value)");
+    n = static_cast<ProcId>(opts.get_int("n", 256));
+    reps = static_cast<int>(opts.get_int("reps", 5));
+    out_path = opts.get_string("out", "BENCH_sim.json");
+    baseline = opts.get_double("baseline-broadcast", 0.0);
+    HYCO_CHECK_MSG(n > 0 && reps > 0, "--n and --reps must be positive");
+  } catch (const ContractViolation& e) {
+    std::cerr << "perf_snapshot: " << e.what() << '\n' << kUsage;
+    return 2;
+  }
 
   std::cerr << "perf_snapshot: event throughput...\n";
   const BenchResult events = bench_event_throughput(reps);

@@ -29,4 +29,16 @@ int BiasedCommonCoin::bit(Round r) {
   return static_cast<int>(h1 & 1U);
 }
 
+std::unique_ptr<ICommonCoin> make_common_coin(std::uint64_t seed,
+                                              std::uint64_t salt,
+                                              double epsilon,
+                                              int adversary_bit) {
+  const std::uint64_t coin_seed = mix64(seed, salt);
+  if (epsilon > 0.0) {
+    return std::make_unique<BiasedCommonCoin>(
+        coin_seed, epsilon, [adversary_bit](Round) { return adversary_bit; });
+  }
+  return std::make_unique<CommonCoin>(coin_seed);
+}
+
 }  // namespace hyco

@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 
 #include "core/types.h"
 #include "util/rng.h"
@@ -79,5 +80,13 @@ class BiasedCommonCoin final : public ICommonCoin {
   double epsilon_;
   std::function<int(Round)> adversary_bit_;
 };
+
+/// A run's common coin, seeded from (run seed, per-runner salt). With
+/// epsilon > 0 it is a BiasedCommonCoin whose adversary always substitutes
+/// `adversary_bit`; otherwise a perfect CommonCoin.
+std::unique_ptr<ICommonCoin> make_common_coin(std::uint64_t seed,
+                                              std::uint64_t salt,
+                                              double epsilon = 0.0,
+                                              int adversary_bit = 0);
 
 }  // namespace hyco

@@ -1,7 +1,8 @@
 #include "core/runner.h"
 
 #include <algorithm>
-#include <cmath>
+#include <memory>
+#include <optional>
 #include <sstream>
 
 #include "baseline/ben_or.h"
@@ -9,10 +10,10 @@
 #include "core/common_coin_process.h"
 #include "core/invariant_checker.h"
 #include "core/local_coin_process.h"
+#include "core/world.h"
 #include "obs/observer.h"
 #include "obs/phase_timings.h"
 #include "obs/trace_observer.h"
-#include "scenario/engine.h"
 #include "shm/cluster_memory.h"
 #include "sim/trace.h"
 #include "util/assert.h"
@@ -41,95 +42,133 @@ std::vector<Estimate> uniform_inputs(ProcId n, Estimate v) {
   return std::vector<Estimate>(static_cast<std::size_t>(n), v);
 }
 
-ConsensusRun::ConsensusRun(RunConfig cfg)
-    : cfg_(std::move(cfg)),
-      inputs_(cfg_.inputs.empty() ? split_inputs(cfg_.layout.n())
-                                  : cfg_.inputs),
-      sim_(cfg_.seed),
-      plan_(cfg_.crashes),
-      tracker_(static_cast<std::size_t>(cfg_.layout.n())) {
-  const ProcId n = cfg_.layout.n();
-  HYCO_CHECK_MSG(inputs_.size() == static_cast<std::size_t>(n),
-                 "inputs size " << inputs_.size() << " != n " << n);
+RunResult run_binary_world(
+    SimWorld& world,
+    const std::vector<std::unique_ptr<IConsensusProcess>>& procs,
+    const std::vector<Estimate>& inputs, std::uint64_t max_events) {
+  const ProcId n = world.n();
+  Simulator& sim = world.sim();
+  const CrashTracker& tracker = world.tracker();
+  RunResult result;
+  result.decisions.assign(static_cast<std::size_t>(n), std::nullopt);
+  result.decision_rounds.assign(static_cast<std::size_t>(n), 0);
 
-  sim_.reserve_all_to_all(n);
-  if (plan_.specs.empty()) plan_ = CrashPlan::none(static_cast<std::size_t>(n));
-  HYCO_CHECK_MSG(plan_.specs.size() == static_cast<std::size_t>(n),
-                 "crash plan size mismatch");
+  // Deliveries run through here; newly-made decisions are timestamped.
+  world.net().set_deliver([&](ProcId to, ProcId from, const Message& m) {
+    IConsensusProcess& proc = *procs[static_cast<std::size_t>(to)];
+    const bool was_decided = proc.decided();
+    proc.on_message(from, m);
+    if (!was_decided && proc.decided()) result.last_decision_time = sim.now();
+  });
 
-  delays_ =
-      cfg_.delay_factory ? cfg_.delay_factory() : make_delay_model(cfg_.delays);
+  result.stop = sim.run(max_events);
+  result.end_time = sim.now();
+  result.events = sim.events_executed();
+  result.crashed = tracker.crashed_count();
+  result.recovered = tracker.recovered_count();
+  result.net = world.net().stats();
 
-  // Scenario faults wrap the delay model in a FaultyChannel and give the
-  // network its partition/loss/duplication hooks. Empty scenario = the
-  // legacy path, bit for bit.
-  DelayModel* channel = delays_.get();
-  if (!cfg_.scenario.empty()) {
-    scenario_ = std::make_unique<ScenarioEngine>(cfg_.scenario, cfg_.layout,
-                                                 std::move(delays_));
-    channel = &scenario_->channel();
+  bool all_correct_decided = true;
+  for (ProcId p = 0; p < n; ++p) {
+    const IConsensusProcess& proc = *procs[static_cast<std::size_t>(p)];
+    const auto idx = static_cast<std::size_t>(p);
+    result.proc_stats.push_back(proc.stats());
+    result.max_round = std::max(result.max_round, proc.current_round());
+    if (proc.decided()) {
+      result.decisions[idx] = proc.decision();
+      result.decision_rounds[idx] = proc.decision_round();
+      result.max_decision_round =
+          std::max(result.max_decision_round, proc.decision_round());
+      if (!result.decided_value.has_value()) {
+        result.decided_value = proc.decision();
+      } else if (*result.decided_value != *proc.decision()) {
+        result.agreement_ok = false;
+        std::ostringstream os;
+        os << "AGREEMENT violated: p" << p << " decided " << *proc.decision()
+           << " vs earlier " << *result.decided_value;
+        result.violations.push_back(os.str());
+      }
+    } else if (!tracker.is_crashed(p)) {
+      all_correct_decided = false;
+    }
   }
+  result.all_correct_decided = all_correct_decided;
 
-  // Record into the caller's ring when one is supplied (structured export
-  // keeps the records); otherwise a run-local ring backs trace_dump. With
-  // tracing off the network gets no trace at all, so call sites skip even
-  // the detail-string formatting.
-  local_trace_ = std::make_unique<Trace>();
-  trace_ = cfg_.trace_sink != nullptr ? cfg_.trace_sink : local_trace_.get();
-  trace_->enable(cfg_.enable_trace);
-  net_ = std::make_unique<SimNetwork>(sim_, *channel, tracker_, n, &plan_,
-                                      cfg_.enable_trace ? trace_ : nullptr);
-  if (scenario_ != nullptr) net_->set_scenario(scenario_.get());
+  if (result.decided_value.has_value()) {
+    const bool proposed = std::find(inputs.begin(), inputs.end(),
+                                    *result.decided_value) != inputs.end();
+    if (!proposed) {
+      result.validity_ok = false;
+      result.violations.push_back("VALIDITY violated: decided value "
+                                  "was never proposed");
+    }
+  }
+  return result;
+}
 
-  checker_ = std::make_unique<InvariantChecker>(cfg_.layout);
-  checker_->set_inputs(inputs_);
+RunResult run_consensus(const RunConfig& cfg) {
+  const ProcId n = cfg.layout.n();
+  const std::vector<Estimate> inputs =
+      cfg.inputs.empty() ? split_inputs(n) : cfg.inputs;
+  HYCO_CHECK_MSG(inputs.size() == static_cast<std::size_t>(n),
+                 "inputs size " << inputs.size() << " != n " << n);
+
+  SimWorld world({.n = n,
+                  .seed = cfg.seed,
+                  .crashes = cfg.crashes,
+                  .delays = cfg.delays,
+                  .delay_factory = &cfg.delay_factory,
+                  .scenario = &cfg.scenario,
+                  .layout = &cfg.layout,
+                  .enable_trace = cfg.enable_trace,
+                  .trace_sink = cfg.trace_sink});
+  Simulator& sim = world.sim();
+
+  InvariantChecker checker(cfg.layout);
+  checker.set_inputs(inputs);
 
   // Cluster memories (hybrid algorithms only touch their own cluster's).
-  if (cfg_.alg != Algorithm::BenOr) {
-    memories_.reserve(static_cast<std::size_t>(cfg_.layout.m()));
-    for (ClusterId x = 0; x < cfg_.layout.m(); ++x) {
-      memories_.push_back(
-          std::make_unique<ClusterMemory>(x, n, cfg_.shm_impl));
+  std::vector<std::unique_ptr<ClusterMemory>> memories;
+  if (cfg.alg != Algorithm::BenOr) {
+    memories.reserve(static_cast<std::size_t>(cfg.layout.m()));
+    for (ClusterId x = 0; x < cfg.layout.m(); ++x) {
+      memories.push_back(std::make_unique<ClusterMemory>(x, n, cfg.shm_impl));
     }
   }
 
-  // The common coin (Algorithm 3). BiasedCommonCoin models an imperfect
+  // The common coin (Algorithm 3); a positive epsilon models an imperfect
   // coin for the T-ADV ablation.
-  if (cfg_.alg == Algorithm::HybridCommonCoin) {
-    const std::uint64_t coin_seed = mix64(cfg_.seed, 0xC01C01);
-    if (cfg_.coin_epsilon > 0.0) {
-      common_coin_ = std::make_unique<BiasedCommonCoin>(
-          coin_seed, cfg_.coin_epsilon,
-          [bit = cfg_.adversary_bit](Round) { return bit; });
-    } else {
-      common_coin_ = std::make_unique<CommonCoin>(coin_seed);
-    }
+  std::unique_ptr<ICommonCoin> common_coin;
+  if (cfg.alg == Algorithm::HybridCommonCoin) {
+    common_coin = make_common_coin(cfg.seed, 0xC01C01, cfg.coin_epsilon,
+                                   cfg.adversary_bit);
   }
 
-  procs_.reserve(static_cast<std::size_t>(n));
+  std::vector<std::unique_ptr<IConsensusProcess>> procs;
+  procs.reserve(static_cast<std::size_t>(n));
   for (ProcId p = 0; p < n; ++p) {
     const std::uint64_t coin_seed =
-        mix64(cfg_.seed, 0x10CA1 + static_cast<std::uint64_t>(p));
-    switch (cfg_.alg) {
+        mix64(cfg.seed, 0x10CA1 + static_cast<std::uint64_t>(p));
+    switch (cfg.alg) {
       case Algorithm::HybridLocalCoin: {
-        auto& mem = *memories_[static_cast<std::size_t>(
-            cfg_.layout.cluster_of(p))];
-        procs_.push_back(std::make_unique<LocalCoinProcess>(
-            p, cfg_.layout, *net_, mem, coin_seed, checker_.get(),
-            cfg_.max_rounds));
+        auto& mem =
+            *memories[static_cast<std::size_t>(cfg.layout.cluster_of(p))];
+        procs.push_back(std::make_unique<LocalCoinProcess>(
+            p, cfg.layout, world.net(), mem, coin_seed, &checker,
+            cfg.max_rounds));
         break;
       }
       case Algorithm::HybridCommonCoin: {
-        auto& mem = *memories_[static_cast<std::size_t>(
-            cfg_.layout.cluster_of(p))];
-        procs_.push_back(std::make_unique<CommonCoinProcess>(
-            p, cfg_.layout, *net_, mem, *common_coin_, checker_.get(),
-            cfg_.max_rounds));
+        auto& mem =
+            *memories[static_cast<std::size_t>(cfg.layout.cluster_of(p))];
+        procs.push_back(std::make_unique<CommonCoinProcess>(
+            p, cfg.layout, world.net(), mem, *common_coin, &checker,
+            cfg.max_rounds));
         break;
       }
       case Algorithm::BenOr:
-        procs_.push_back(std::make_unique<BenOrProcess>(
-            p, n, *net_, coin_seed, cfg_.max_rounds));
+        procs.push_back(std::make_unique<BenOrProcess>(
+            p, n, world.net(), coin_seed, cfg.max_rounds));
         break;
     }
   }
@@ -138,216 +177,85 @@ ConsensusRun::ConsensusRun(RunConfig cfg)
   // sim.now() but never mutate simulation state, so instrumented runs are
   // byte-identical. When both are requested they share the processes'
   // single observer slot through a fanout.
-  if (cfg_.collect_obs) {
-    timings_ = std::make_unique<obs::PhaseTimings>(
-        n, [this] { return sim_.now(); });
-  }
-  if (cfg_.enable_trace) {
-    trace_obs_ = std::make_unique<obs::TraceObserver>(
-        *trace_, [this] { return sim_.now(); });
-  }
+  std::optional<obs::PhaseTimings> timings;
+  std::optional<obs::TraceObserver> trace_obs;
+  std::optional<obs::ObserverFanout> fanout;
+  const auto now = [&sim] { return sim.now(); };
+  if (cfg.collect_obs) timings.emplace(n, now);
+  if (world.trace() != nullptr) trace_obs.emplace(*world.trace(), now);
   obs::IRunObserver* observer = nullptr;
-  if (timings_ != nullptr && trace_obs_ != nullptr) {
-    obs_fanout_ = std::make_unique<obs::ObserverFanout>(timings_.get(),
-                                                        trace_obs_.get());
-    observer = obs_fanout_.get();
-  } else if (timings_ != nullptr) {
-    observer = timings_.get();
-  } else if (trace_obs_ != nullptr) {
-    observer = trace_obs_.get();
+  if (timings && trace_obs) {
+    observer = &fanout.emplace(&*timings, &*trace_obs);
+  } else if (timings) {
+    observer = &*timings;
+  } else if (trace_obs) {
+    observer = &*trace_obs;
   }
   if (observer != nullptr) {
-    for (auto& proc : procs_) proc->set_observer(observer);
+    for (auto& proc : procs) proc->set_observer(observer);
   }
 
-  result_.decisions.assign(static_cast<std::size_t>(n), std::nullopt);
-  result_.decision_rounds.assign(static_cast<std::size_t>(n), 0);
-
-  // Deliveries run through here; newly-made decisions are timestamped.
-  net_->set_deliver([this](ProcId to, ProcId from, const Message& m) {
-    auto& proc = *procs_[static_cast<std::size_t>(to)];
-    const bool was_decided = proc.decided();
-    proc.on_message(from, m);
-    if (!was_decided && proc.decided()) {
-      result_.last_decision_time = sim_.now();
+  // Crash-recovery cycles (scenario): a process that was down at its start
+  // time proposes on rejoin instead; `started` guards the double-start.
+  std::vector<char> started(static_cast<std::size_t>(n), 0);
+  const auto start = [&](ProcId p) {
+    const auto idx = static_cast<std::size_t>(p);
+    if (started[idx] != 0) return;
+    started[idx] = 1;
+    procs[idx]->start(inputs[idx]);
+  };
+  world.schedule_crashes([&](ProcId p) {
+    // Announce the rejoin first: replies peers sent into the down window
+    // were lost, so their per-peer reply guards must reset before the
+    // rejoiner's retransmit reaches them.
+    for (auto& proc : procs) proc->on_peer_recover(p);
+    if (started[static_cast<std::size_t>(p)] == 0) {
+      start(p);
+    } else {
+      procs[static_cast<std::size_t>(p)]->on_recover();
     }
   });
 
-  // Scripted AtTime crashes.
-  for (ProcId p = 0; p < n; ++p) {
-    const CrashSpec& spec = plan_.specs[static_cast<std::size_t>(p)];
-    if (spec.kind == CrashSpec::Kind::AtTime) {
-      if (spec.time <= 0) {
-        tracker_.crash(p, 0);  // initially dead
-      } else {
-        sim_.schedule_at(spec.time, [this, p, t = spec.time] {
-          tracker_.crash(p, t);
-        });
-      }
-    }
-  }
-
-  // Crash-recovery cycles (scenario). A process that was down at its start
-  // time proposes on rejoin instead; `started_` guards the double-start.
-  started_.assign(static_cast<std::size_t>(n), 0);
-  if (scenario_ != nullptr) {
-    for (const ScenarioEngine::Rejoin& rj : scenario_->rejoins()) {
-      const ProcId p = rj.proc;
-      if (rj.down_at <= 0) {
-        tracker_.crash(p, 0);  // down from the start
-      } else {
-        sim_.schedule_at(rj.down_at, [this, p, t = rj.down_at] {
-          tracker_.crash(p, t);
-        });
-      }
-      if (rj.up_at == kSimTimeNever) continue;
-      sim_.schedule_at(rj.up_at, [this, p, t = rj.up_at] {
-        const auto idx = static_cast<std::size_t>(p);
-        tracker_.recover(p, t);
-        // Announce the rejoin first: replies peers sent into the down
-        // window were lost, so their per-peer reply guards must reset
-        // before the rejoiner's retransmit reaches them.
-        for (auto& proc : procs_) proc->on_peer_recover(p);
-        if (started_[idx] == 0) {
-          started_[idx] = 1;
-          procs_[idx]->start(inputs_[idx]);
-        } else {
-          procs_[idx]->on_recover();
-        }
-      });
-    }
-  }
-
   // Decide-reply and catch-up gossip keep scenario runs live (see
   // RunConfig::scenario).
-  if (scenario_ != nullptr) {
-    for (auto& proc : procs_) proc->set_scenario_assist(true);
+  if (world.scenario() != nullptr) {
+    for (auto& proc : procs) proc->set_scenario_assist(true);
   }
 
-  // Every live process invokes propose(v_p) at its own start time. Clock
-  // skew (scenario) stretches a slow process's start the same way it
-  // stretches its per-message handling.
-  Rng start_rng(mix64(cfg_.seed, 0x57A7));
-  for (ProcId p = 0; p < n; ++p) {
-    SimTime at =
-        cfg_.start_jitter > 0 ? start_rng.uniform(0, cfg_.start_jitter) : 0;
-    if (scenario_ != nullptr) {
-      const double f = scenario_->speed_factor(p);
-      if (f != 1.0) {
-        at = static_cast<SimTime>(std::llround(static_cast<double>(at) * f));
-      }
-    }
-    sim_.schedule_at(at, [this, p] {
-      const auto idx = static_cast<std::size_t>(p);
-      if (tracker_.is_crashed(p) || started_[idx] != 0) return;
-      started_[idx] = 1;
-      procs_[idx]->start(inputs_[idx]);
-    });
+  // Every live process invokes propose(v_p) at its own start time.
+  world.schedule_starts(cfg.start_jitter, start);
+
+  RunResult result = run_binary_world(world, procs, inputs, cfg.max_events);
+
+  if (!checker.ok()) {
+    result.invariants_ok = false;
+    for (const auto& v : checker.violations()) result.violations.push_back(v);
   }
-}
-
-ConsensusRun::~ConsensusRun() = default;
-
-bool ConsensusRun::tick() {
-  HYCO_CHECK_MSG(!stopped_, "tick() after the run stopped");
-  const std::optional<StopReason> stop = sim_.run_tick(cfg_.max_events);
-  if (!stop) return false;
-  result_.stop = *stop;
-  stopped_ = true;
-  return true;
-}
-
-RunResult ConsensusRun::finish() {
-  HYCO_CHECK_MSG(stopped_, "finish() before the run stopped");
-  HYCO_CHECK_MSG(!finished_, "finish() called twice");
-  finished_ = true;
-
-  const ProcId n = cfg_.layout.n();
-  result_.end_time = sim_.now();
-  result_.events = sim_.events_executed();
-  result_.crashed = tracker_.crashed_count();
-  result_.recovered = tracker_.recovered_count();
-
-  // Harvest per-process outcomes.
-  bool all_correct_decided = true;
-  for (ProcId p = 0; p < n; ++p) {
-    const auto& proc = *procs_[static_cast<std::size_t>(p)];
-    const auto idx = static_cast<std::size_t>(p);
-    result_.proc_stats.push_back(proc.stats());
-    result_.max_round = std::max(result_.max_round, proc.current_round());
-    if (proc.decided()) {
-      result_.decisions[idx] = proc.decision();
-      result_.decision_rounds[idx] = proc.decision_round();
-      result_.max_decision_round =
-          std::max(result_.max_decision_round, proc.decision_round());
-      if (!result_.decided_value.has_value()) {
-        result_.decided_value = proc.decision();
-      } else if (*result_.decided_value != *proc.decision()) {
-        result_.agreement_ok = false;
-        std::ostringstream os;
-        os << "AGREEMENT violated: p" << p << " decided " << *proc.decision()
-           << " vs earlier " << *result_.decided_value;
-        result_.violations.push_back(os.str());
-      }
-    } else if (!tracker_.is_crashed(p)) {
-      all_correct_decided = false;
-    }
+  for (const auto& mem : memories) {
+    result.shm += mem->counts();
+    result.consensus_objects += mem->objects_created();
   }
-  result_.all_correct_decided = all_correct_decided;
-
-  if (result_.decided_value.has_value()) {
-    const bool proposed = std::find(inputs_.begin(), inputs_.end(),
-                                    *result_.decided_value) != inputs_.end();
-    if (!proposed) {
-      result_.validity_ok = false;
-      result_.violations.push_back("VALIDITY violated: decided value "
-                                   "was never proposed");
-    }
-  }
-
-  if (!checker_->ok()) {
-    result_.invariants_ok = false;
-    for (const auto& v : checker_->violations()) {
-      result_.violations.push_back(v);
-    }
-  }
-
-  for (const auto& mem : memories_) {
-    result_.shm += mem->counts();
-    result_.consensus_objects += mem->objects_created();
-  }
-  result_.net = net_->stats();
 
   // Message-class counters are free (already tallied by the network and the
   // processes); phase timings only exist under collect_obs.
-  result_.obs[obs::ObsId::kDelivered] = result_.net.delivered;
-  result_.obs[obs::ObsId::kDroppedPartitioned] =
-      result_.net.dropped_partitioned;
-  result_.obs[obs::ObsId::kDroppedLost] = result_.net.dropped_lost;
-  result_.obs[obs::ObsId::kDuplicated] = result_.net.duplicated;
-  result_.obs[obs::ObsId::kHeldPartitioned] = result_.net.held_partitioned;
+  result.obs[obs::ObsId::kDelivered] = result.net.delivered;
+  result.obs[obs::ObsId::kDroppedPartitioned] = result.net.dropped_partitioned;
+  result.obs[obs::ObsId::kDroppedLost] = result.net.dropped_lost;
+  result.obs[obs::ObsId::kDuplicated] = result.net.duplicated;
+  result.obs[obs::ObsId::kHeldPartitioned] = result.net.held_partitioned;
   std::uint64_t coin_flips = 0;
-  for (const ProcessStats& ps : result_.proc_stats) {
-    coin_flips += ps.coin_flips;
-  }
-  result_.obs[obs::ObsId::kCoinFlips] = coin_flips;
-  result_.obs[obs::ObsId::kRounds] =
-      static_cast<std::uint64_t>(result_.max_decision_round);
-  if (timings_ != nullptr) timings_->fill(result_.obs);
+  for (const ProcessStats& ps : result.proc_stats) coin_flips += ps.coin_flips;
+  result.obs[obs::ObsId::kCoinFlips] = coin_flips;
+  result.obs[obs::ObsId::kRounds] =
+      static_cast<std::uint64_t>(result.max_decision_round);
+  if (timings) timings->fill(result.obs);
 
-  if (cfg_.enable_trace) {
+  if (world.trace() != nullptr) {
     std::ostringstream os;
-    trace_->dump(os);
-    result_.trace_dump = os.str();
+    world.trace()->dump(os);
+    result.trace_dump = os.str();
   }
-  return std::move(result_);
-}
-
-RunResult run_consensus(const RunConfig& cfg) {
-  ConsensusRun run(cfg);
-  while (!run.tick()) {
-  }
-  return run.finish();
+  return result;
 }
 
 }  // namespace hyco

@@ -1,9 +1,7 @@
-// One-call simulation driver: builds the simulator, network, cluster
-// memories, coins and processes for a configuration, runs to quiescence (or
-// a limit), and returns decisions plus full instrumentation. Every test,
-// example, and experiment harness goes through run_consensus(), which is a
-// thin loop over the resumable ConsensusRun (construct → tick → finish) the
-// multi-lane executor interleaves.
+// One-call simulation driver: builds a SimWorld (core/world.h) plus the
+// cluster memories, coins and processes for a configuration, runs to
+// quiescence (or a limit), and returns decisions plus full instrumentation.
+// Every test, example, and experiment harness goes through run_consensus().
 #pragma once
 
 #include <cstdint>
@@ -140,70 +138,20 @@ struct RunResult {
   }
 };
 
-namespace obs {
-class ObserverFanout;
-class PhaseTimings;
-class TraceObserver;
-}  // namespace obs
+class SimWorld;
 
-class ClusterMemory;
-class ICommonCoin;
-class InvariantChecker;
-class ScenarioEngine;
+/// Routes a world's deliveries to its binary-consensus processes (stamping
+/// last_decision_time whenever one decides), runs it to quiescence or
+/// `max_events`, and harvests the parts of a RunResult every binary runner
+/// shares: run counters, network stats, per-process stats and decisions,
+/// and the agreement, validity and termination verdicts. Used by
+/// run_consensus and run_mm; crashes and starts must already be scheduled.
+RunResult run_binary_world(
+    SimWorld& world,
+    const std::vector<std::unique_ptr<IConsensusProcess>>& procs,
+    const std::vector<Estimate>& inputs, std::uint64_t max_events);
 
-/// run_consensus() decomposed into resumable pieces: the constructor does
-/// every piece of setup (simulator, network, memories, coins, processes,
-/// scheduled crashes/rejoins/starts), tick() advances the simulation by at
-/// most one virtual-time tick, and finish() harvests the RunResult once
-/// tick() reports the run stopped.
-///
-/// The point of the split is the multi-lane executor: K independent runs
-/// per worker interleave tick-by-tick to hide the memory latency one deep
-/// event queue exposes. Each run's simulator is fully self-contained, so
-/// interleaving cannot change any run's behavior — run_consensus() and a
-/// lane cohort produce bit-identical results.
-///
-/// Not copyable or movable: scheduled closures capture `this`.
-class ConsensusRun {
- public:
-  explicit ConsensusRun(RunConfig cfg);
-  ~ConsensusRun();
-  ConsensusRun(const ConsensusRun&) = delete;
-  ConsensusRun& operator=(const ConsensusRun&) = delete;
-
-  /// Runs at most one virtual-time tick. Returns true when the run has
-  /// stopped (quiescent or a limit) — do not call again after that.
-  bool tick();
-
-  /// Harvests and returns the result. Call exactly once, after tick()
-  /// returned true.
-  RunResult finish();
-
- private:
-  RunConfig cfg_;
-  std::vector<Estimate> inputs_;
-  Simulator sim_;
-  CrashPlan plan_;
-  CrashTracker tracker_;
-  std::unique_ptr<DelayModel> delays_;
-  std::unique_ptr<ScenarioEngine> scenario_;
-  std::unique_ptr<Trace> local_trace_;
-  Trace* trace_ = nullptr;
-  std::unique_ptr<SimNetwork> net_;
-  std::unique_ptr<InvariantChecker> checker_;
-  std::vector<std::unique_ptr<ClusterMemory>> memories_;
-  std::unique_ptr<ICommonCoin> common_coin_;
-  std::vector<std::unique_ptr<IConsensusProcess>> procs_;
-  std::unique_ptr<obs::PhaseTimings> timings_;
-  std::unique_ptr<obs::TraceObserver> trace_obs_;
-  std::unique_ptr<obs::ObserverFanout> obs_fanout_;
-  std::vector<char> started_;
-  RunResult result_;
-  bool stopped_ = false;
-  bool finished_ = false;
-};
-
-/// Builds and runs one simulation (ConsensusRun ticked to completion).
+/// Builds and runs one simulation.
 RunResult run_consensus(const RunConfig& cfg);
 
 /// Helper: split input vector (process i proposes i % 2).

@@ -7,6 +7,7 @@
 
 #include "coin/coin.h"
 #include "core/multivalued.h"
+#include "core/world.h"
 #include "scenario/engine.h"
 #include "service/replica.h"
 #include "service/traffic.h"
@@ -20,44 +21,28 @@ ServiceRunResult run_service(const ServiceRunConfig& cfg) {
   const ProcId n = cfg.layout.n();
   HYCO_CHECK_MSG(cfg.clients >= 1, "service runs need at least one client");
 
-  Simulator sim(cfg.seed);
-  sim.reserve_all_to_all(n);
-  CrashPlan plan = cfg.crashes;
-  if (plan.specs.empty()) plan = CrashPlan::none(static_cast<std::size_t>(n));
-  HYCO_CHECK_MSG(plan.specs.size() == static_cast<std::size_t>(n),
-                 "crash plan size mismatch");
-  CrashTracker tracker(static_cast<std::size_t>(n));
-
-  std::unique_ptr<DelayModel> delays =
-      cfg.delay_factory ? cfg.delay_factory() : make_delay_model(cfg.delays);
-  std::unique_ptr<ScenarioEngine> scenario;
-  DelayModel* channel = delays.get();
-  if (!cfg.scenario.empty()) {
-    scenario = std::make_unique<ScenarioEngine>(cfg.scenario, cfg.layout,
-                                                std::move(delays));
-    channel = &scenario->channel();
-  }
-  Trace* trace =
-      (cfg.enable_trace && cfg.trace_sink != nullptr) ? cfg.trace_sink
-                                                      : nullptr;
-  if (trace != nullptr) trace->enable(true);
-  SimNetwork net(sim, *channel, tracker, n, &plan, trace);
-  if (scenario != nullptr) net.set_scenario(scenario.get());
+  // The service traces only into a caller-owned sink.
+  SimWorld world({.n = n,
+                  .seed = cfg.seed,
+                  .crashes = cfg.crashes,
+                  .delays = cfg.delays,
+                  .delay_factory = &cfg.delay_factory,
+                  .scenario = &cfg.scenario,
+                  .layout = &cfg.layout,
+                  .enable_trace =
+                      cfg.enable_trace && cfg.trace_sink != nullptr,
+                  .trace_sink = cfg.trace_sink});
+  Simulator& sim = world.sim();
+  const CrashTracker& tracker = world.tracker();
+  Trace* const trace = world.trace();
 
   MemoryPool pool(n, ConsensusImpl::Cas);
 
   // The service always runs the Algorithm 3 common-coin core (the TOB's
   // embedded instances need the shared coin); same seed stream and
   // imperfect-coin ablation as run_consensus.
-  std::unique_ptr<ICommonCoin> coin;
-  const std::uint64_t coin_seed = mix64(cfg.seed, 0xC01C01);
-  if (cfg.coin_epsilon > 0.0) {
-    coin = std::make_unique<BiasedCommonCoin>(
-        coin_seed, cfg.coin_epsilon,
-        [bit = cfg.adversary_bit](Round) { return bit; });
-  } else {
-    coin = std::make_unique<CommonCoin>(coin_seed);
-  }
+  const std::unique_ptr<ICommonCoin> coin = make_common_coin(
+      cfg.seed, 0xC01C01, cfg.coin_epsilon, cfg.adversary_bit);
 
   // Consensus orders compact batch ids, so the multivalued width only needs
   // to cover the largest possible id (every batch holds >= 1 op). Narrow
@@ -72,10 +57,10 @@ ServiceRunResult run_service(const ServiceRunConfig& cfg) {
   replicas.reserve(static_cast<std::size_t>(n));
   for (ProcId p = 0; p < n; ++p) {
     replicas.push_back(std::make_unique<ServiceReplica>(
-        p, cfg.layout, net, pool, *coin, sim, tracker, registry,
+        p, cfg.layout, world.net(), pool, *coin, sim, tracker, registry,
         cfg.max_rounds_per_bit, width, cfg.batch_max, cfg.batch_delay));
   }
-  net.set_deliver([&](ProcId to, ProcId from, const Message& m) {
+  world.net().set_deliver([&](ProcId to, ProcId from, const Message& m) {
     replicas[static_cast<std::size_t>(to)]->on_message(from, m);
   });
 
@@ -146,46 +131,27 @@ ServiceRunResult run_service(const ServiceRunConfig& cfg) {
     }
   }
 
-  // Scripted AtTime crashes; `ever_crashed` feeds the termination verdict.
+  // Scripted crashes and scenario crash-recovery cycles. A recovered
+  // replica keeps its state (crash-recovery with stable storage); messages
+  // sent into the down window are lost, so it may stall on in-flight slots
+  // — safety is the guarantee, termination returns when enough traffic
+  // flows again. `ever_crashed` feeds the termination verdict.
   std::vector<char> ever_crashed(static_cast<std::size_t>(n), 0);
   for (ProcId p = 0; p < n; ++p) {
-    const CrashSpec& spec = plan.specs[static_cast<std::size_t>(p)];
-    if (spec.kind == CrashSpec::Kind::AtTime) {
-      ever_crashed[static_cast<std::size_t>(p)] = 1;
-      if (spec.time <= 0) {
-        tracker.crash(p, 0);
-      } else {
-        sim.schedule_at(spec.time, [&tracker, p, t = spec.time] {
-          tracker.crash(p, t);
-        });
-      }
-    } else {
-      HYCO_CHECK_MSG(spec.kind == CrashSpec::Kind::None,
-                     "service runs support AtTime crash specs only");
+    const CrashSpec::Kind kind =
+        world.plan().specs[static_cast<std::size_t>(p)].kind;
+    HYCO_CHECK_MSG(kind == CrashSpec::Kind::None ||
+                       kind == CrashSpec::Kind::AtTime,
+                   "service runs support AtTime crash specs only");
+    ever_crashed[static_cast<std::size_t>(p)] =
+        kind == CrashSpec::Kind::AtTime ? 1 : 0;
+  }
+  if (world.scenario() != nullptr) {
+    for (const ScenarioEngine::Rejoin& rj : world.scenario()->rejoins()) {
+      ever_crashed[static_cast<std::size_t>(rj.proc)] = 1;
     }
   }
-
-  // Scenario crash-recovery cycles: the replica's state survives (crash-
-  // recovery with stable storage); messages sent into the down window are
-  // lost, so a recovered replica may stall on in-flight slots — safety is
-  // the guarantee, termination returns when enough traffic flows again.
-  if (scenario != nullptr) {
-    for (const ScenarioEngine::Rejoin& rj : scenario->rejoins()) {
-      const ProcId p = rj.proc;
-      ever_crashed[static_cast<std::size_t>(p)] = 1;
-      if (rj.down_at <= 0) {
-        tracker.crash(p, 0);
-      } else {
-        sim.schedule_at(rj.down_at, [&tracker, p, t = rj.down_at] {
-          tracker.crash(p, t);
-        });
-      }
-      if (rj.up_at == kSimTimeNever) continue;
-      sim.schedule_at(rj.up_at, [&tracker, p, t = rj.up_at] {
-        tracker.recover(p, t);
-      });
-    }
-  }
+  world.schedule_crashes();
 
   traffic.start();
 
@@ -194,7 +160,7 @@ ServiceRunResult run_service(const ServiceRunConfig& cfg) {
   result.end_time = sim.now();
   result.events = sim.events_executed();
   result.crashed = tracker.crashed_count();
-  result.net = net.stats();
+  result.net = world.net().stats();
   result.shm = pool.total();
   result.consensus_objects = pool.objects_created();
 

@@ -46,24 +46,6 @@ std::size_t DeliverSink::deliver_batch(const TickItem* items,
   return count;
 }
 
-bool Simulator::step() {
-  if (queue_.empty()) return false;
-  const Event ev = queue_.pop();
-  now_ = ev.at;
-  ++executed_;
-  if (ev.kind == Event::Kind::Deliver) {
-    HYCO_CHECK_MSG(sink_ != nullptr,
-                   "Deliver event fired with no deliver sink registered");
-    sink_->deliver_event(ev.from, ev.to, *ev.msg, ev.seq);
-  } else {
-    // Move the closure out before running it: the callback may schedule new
-    // callbacks, which can recycle or grow the pool slot it came from.
-    const std::function<void()> fn = queue_.take_callback(ev.slot);
-    fn();
-  }
-  return true;
-}
-
 std::optional<StopReason> Simulator::run_tick(std::uint64_t max_events,
                                               SimTime time_limit) {
   // halt() is only observable from inside a dispatched event; a set flag

@@ -8,6 +8,57 @@
 
 namespace hyco {
 
+namespace {
+
+/// Names the whole flag value in an error about one of its list items.
+std::string in_value(const std::string& item, const std::string& value) {
+  return item == value ? std::string() : " (in \"" + value + "\")";
+}
+
+/// Parses one whole token of the flag `key` whose full value is `value`:
+/// empty text, trailing junk and out-of-range values are errors.
+std::int64_t parse_int(const std::string& key, const std::string& item,
+                       const std::string& value) {
+  char* end = nullptr;
+  errno = 0;
+  const std::int64_t v = std::strtoll(item.c_str(), &end, 10);
+  HYCO_CHECK_MSG(end != item.c_str() && *end == '\0' && errno != ERANGE,
+                 "--" << key << ": \"" << item
+                      << "\" is not an in-range integer"
+                      << in_value(item, value));
+  return v;
+}
+
+double parse_double(const std::string& key, const std::string& item,
+                    const std::string& value) {
+  char* end = nullptr;
+  errno = 0;
+  const double v = std::strtod(item.c_str(), &end);
+  HYCO_CHECK_MSG(end != item.c_str() && *end == '\0' && errno != ERANGE,
+                 "--" << key << ": \"" << item
+                      << "\" is not an in-range number"
+                      << in_value(item, value));
+  return v;
+}
+
+std::vector<std::string> split_list(const std::string& key,
+                                    const std::string& value) {
+  std::vector<std::string> items;
+  std::size_t start = 0;
+  for (;;) {
+    const std::size_t comma = value.find(',', start);
+    const std::string item = value.substr(
+        start, comma == std::string::npos ? std::string::npos : comma - start);
+    HYCO_CHECK_MSG(!item.empty(),
+                   "--" << key << ": empty item in list \"" << value << '"');
+    items.push_back(item);
+    if (comma == std::string::npos) return items;
+    start = comma + 1;
+  }
+}
+
+}  // namespace
+
 Options::Options(int argc, const char* const* argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg{argv[i]};
@@ -44,13 +95,13 @@ std::int64_t Options::get_int(const std::string& key,
                               std::int64_t fallback) const {
   const auto it = kv_.find(key);
   if (it == kv_.end()) return fallback;
-  return std::strtoll(it->second.c_str(), nullptr, 10);
+  return parse_int(key, it->second, it->second);
 }
 
 double Options::get_double(const std::string& key, double fallback) const {
   const auto it = kv_.find(key);
   if (it == kv_.end()) return fallback;
-  return std::strtod(it->second.c_str(), nullptr);
+  return parse_double(key, it->second, it->second);
 }
 
 bool Options::get_bool(const std::string& key, bool fallback) const {
@@ -59,40 +110,13 @@ bool Options::get_bool(const std::string& key, bool fallback) const {
   return it->second == "true" || it->second == "1" || it->second == "yes";
 }
 
-namespace {
-
-std::vector<std::string> split_list(const std::string& key,
-                                    const std::string& value) {
-  std::vector<std::string> items;
-  std::size_t start = 0;
-  for (;;) {
-    const std::size_t comma = value.find(',', start);
-    const std::string item = value.substr(
-        start, comma == std::string::npos ? std::string::npos : comma - start);
-    HYCO_CHECK_MSG(!item.empty(),
-                   "--" << key << ": empty item in list \"" << value << '"');
-    items.push_back(item);
-    if (comma == std::string::npos) return items;
-    start = comma + 1;
-  }
-}
-
-}  // namespace
-
 std::vector<std::int64_t> Options::get_int_list(
     const std::string& key, std::vector<std::int64_t> fallback) const {
   const auto it = kv_.find(key);
   if (it == kv_.end()) return fallback;
   std::vector<std::int64_t> out;
   for (const auto& item : split_list(key, it->second)) {
-    char* end = nullptr;
-    errno = 0;
-    const std::int64_t v = std::strtoll(item.c_str(), &end, 10);
-    HYCO_CHECK_MSG(end != item.c_str() && *end == '\0' && errno != ERANGE,
-                   "--" << key << ": \"" << item
-                        << "\" is not an in-range integer (in \""
-                        << it->second << "\")");
-    out.push_back(v);
+    out.push_back(parse_int(key, item, it->second));
   }
   return out;
 }
@@ -103,14 +127,7 @@ std::vector<double> Options::get_double_list(
   if (it == kv_.end()) return fallback;
   std::vector<double> out;
   for (const auto& item : split_list(key, it->second)) {
-    char* end = nullptr;
-    errno = 0;
-    const double v = std::strtod(item.c_str(), &end);
-    HYCO_CHECK_MSG(end != item.c_str() && *end == '\0' && errno != ERANGE,
-                   "--" << key << ": \"" << item
-                        << "\" is not an in-range number (in \"" << it->second
-                        << "\")");
-    out.push_back(v);
+    out.push_back(parse_double(key, item, it->second));
   }
   return out;
 }

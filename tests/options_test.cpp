@@ -1,4 +1,5 @@
-// Unit tests for comma-separated list parsing in util/options.h.
+// Unit tests for flag value parsing in util/options.h: scalar getters and
+// comma-separated lists share one malformed-value error contract.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -73,6 +74,47 @@ TEST(OptionsStringList, SplitsAndRejectsEmptyItems) {
             (std::vector<std::string>{"local_coin", "common_coin"}));
   EXPECT_THROW(parse({"--alg=a,,b"}).get_string_list("alg"),
                ContractViolation);
+}
+
+TEST(OptionsScalar, ParsesWholeValues) {
+  const auto opts = parse({"--runs=40", "--delta=-3", "--loss=0.25",
+                           "--rate=1e3"});
+  EXPECT_EQ(opts.get_int("runs"), 40);
+  EXPECT_EQ(opts.get_int("delta"), -3);
+  EXPECT_DOUBLE_EQ(opts.get_double("loss"), 0.25);
+  EXPECT_DOUBLE_EQ(opts.get_double("rate"), 1000.0);
+  EXPECT_EQ(opts.get_int("absent", 7), 7);
+  EXPECT_DOUBLE_EQ(opts.get_double("absent", 0.5), 0.5);
+}
+
+TEST(OptionsScalar, RejectsMalformedIntegers) {
+  EXPECT_THROW(parse({"--runs=abc"}).get_int("runs"), ContractViolation);
+  EXPECT_THROW(parse({"--runs=12junk"}).get_int("runs"), ContractViolation);
+  EXPECT_THROW(parse({"--runs=1.5"}).get_int("runs"), ContractViolation);
+  EXPECT_THROW(parse({"--runs="}).get_int("runs"), ContractViolation);
+  // A bare --runs reads as "true", which is not a number either.
+  EXPECT_THROW(parse({"--runs"}).get_int("runs"), ContractViolation);
+  EXPECT_THROW(parse({"--seed=99999999999999999999"}).get_int("seed"),
+               ContractViolation);
+}
+
+TEST(OptionsScalar, RejectsMalformedNumbers) {
+  EXPECT_THROW(parse({"--loss=abc"}).get_double("loss"), ContractViolation);
+  EXPECT_THROW(parse({"--loss=0.1x"}).get_double("loss"), ContractViolation);
+  EXPECT_THROW(parse({"--loss="}).get_double("loss"), ContractViolation);
+  EXPECT_THROW(parse({"--loss"}).get_double("loss"), ContractViolation);
+  EXPECT_THROW(parse({"--loss=1e999"}).get_double("loss"), ContractViolation);
+}
+
+TEST(OptionsScalar, ErrorNamesKeyAndValue) {
+  try {
+    (void)parse({"--runs=abc"}).get_int("runs");
+    FAIL() << "expected ContractViolation";
+  } catch (const ContractViolation& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("--runs"), std::string::npos);
+    EXPECT_NE(what.find("abc"), std::string::npos);
+  }
 }
 
 }  // namespace

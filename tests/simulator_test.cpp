@@ -111,18 +111,6 @@ TEST(Simulator, HaltStopsMidRun) {
   EXPECT_EQ(executed, 2);
 }
 
-TEST(Simulator, StepExecutesExactlyOne) {
-  Simulator sim(1);
-  int fired = 0;
-  sim.schedule_in(1, [&] { ++fired; });
-  sim.schedule_in(2, [&] { ++fired; });
-  EXPECT_TRUE(sim.step());
-  EXPECT_EQ(fired, 1);
-  EXPECT_TRUE(sim.step());
-  EXPECT_FALSE(sim.step());
-  EXPECT_EQ(fired, 2);
-}
-
 TEST(Simulator, RunTickExecutesOneTickAtATime) {
   Simulator sim(1);
   std::vector<int> fired;
