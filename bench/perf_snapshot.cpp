@@ -194,83 +194,79 @@ int main(int argc, char** argv) {
     std::cout << kUsage;
     return 0;
   }
-  ProcId n = 0;
-  int reps = 0;
-  std::string out_path;
-  double baseline = 0.0;
   try {
     // Flags take --key=value: a space-separated value would parse as a
     // bare flag plus a positional argument, so both are rejected.
     for (const std::string& key : opts.keys()) {
       HYCO_CHECK_MSG(key == "out" || key == "n" || key == "reps" ||
                          key == "baseline-broadcast",
-                     "--" << key << ": unknown flag");
+                     "--" << key << ": unknown flag (see --help)");
     }
     HYCO_CHECK_MSG(opts.positional().empty(),
                    "unexpected argument \"" << opts.positional().front()
                                              << "\" (flags take --key=value)");
-    n = static_cast<ProcId>(opts.get_int("n", 256));
-    reps = static_cast<int>(opts.get_int("reps", 5));
-    out_path = opts.get_string("out", "BENCH_sim.json");
-    baseline = opts.get_double("baseline-broadcast", 0.0);
+    const auto n = static_cast<ProcId>(opts.get_int("n", 256));
+    const int reps = static_cast<int>(opts.get_int("reps", 5));
+    const std::string out_path = opts.get_string("out", "BENCH_sim.json");
+    const double baseline = opts.get_double("baseline-broadcast", 0.0);
     HYCO_CHECK_MSG(n > 0 && reps > 0, "--n and --reps must be positive");
+
+    std::cerr << "perf_snapshot: event throughput...\n";
+    const BenchResult events = bench_event_throughput(reps);
+    std::cerr << "perf_snapshot: fan-out...\n";
+    const BenchResult fanout = bench_fanout(reps);
+    std::cerr << "perf_snapshot: calendar fan-out...\n";
+    const BenchResult calfan = bench_calendar_fanout(reps);
+    std::cerr << "perf_snapshot: broadcast delivery (n=" << n << ")...\n";
+    const BenchResult bcast = bench_broadcast_delivery(n, reps);
+    std::cerr << "perf_snapshot: service decided ops...\n";
+    const BenchResult service = bench_service_ops(reps);
+
+    std::ofstream out(out_path);
+    HYCO_CHECK_MSG(out.good(), "cannot open " << out_path);
+    // Schema 2 = schema 1 plus calendar_fanout and service_decided_ops; every
+    // schema-1 key keeps its exact name and shape so existing consumers (the
+    // CI perf guard's older revisions, plotting scripts) read both.
+    out << "{\n"
+        << "  \"schema\": \"hyco-bench-sim/2\",\n"
+        << "  \"config\": {\"n\": " << n << ", \"reps\": " << reps << "},\n"
+        << "  \"results\": {\n";
+    emit(out, "simulator_event_throughput", "events_per_sec", events);
+    emit(out, "simulator_fanout", "events_per_sec", fanout);
+    emit(out, "calendar_fanout", "events_per_sec", calfan);
+    emit(out, "network_broadcast_delivery", "msgs_per_sec", bcast);
+    out << "    \"service_decided_ops\": {\"items\": " << service.items
+        << ", \"ops_per_sec\": "
+        << static_cast<std::uint64_t>(service.best_rate) << "}"
+        << (baseline > 0.0 ? ",\n" : "\n");
+    if (baseline > 0.0) {
+      out << "    \"reference\": {\"pre_refactor_broadcast_msgs_per_sec\": "
+          << static_cast<std::uint64_t>(baseline)
+          << ", \"speedup\": " << bcast.best_rate / baseline << "}\n";
+    }
+    out << "  }\n}\n";
+    out.close();
+
+    std::cout << "event throughput:   "
+              << static_cast<std::uint64_t>(events.best_rate) << " events/sec\n"
+              << "fan-out:            "
+              << static_cast<std::uint64_t>(fanout.best_rate) << " events/sec\n"
+              << "calendar fan-out:   "
+              << static_cast<std::uint64_t>(calfan.best_rate) << " events/sec\n"
+              << "broadcast delivery: "
+              << static_cast<std::uint64_t>(bcast.best_rate) << " msgs/sec"
+              << " (peak queue depth " << bcast.peak_queue << ")\n"
+              << "service decided:    "
+              << static_cast<std::uint64_t>(service.best_rate)
+              << " ops/sec (wall)\n";
+    if (baseline > 0.0) {
+      std::cout << "speedup vs baseline: " << bcast.best_rate / baseline
+                << "x\n";
+    }
+    std::cout << "wrote " << out_path << "\n";
   } catch (const ContractViolation& e) {
-    std::cerr << "perf_snapshot: " << e.what() << '\n' << kUsage;
+    std::cerr << "perf_snapshot: " << e.what() << '\n';
     return 2;
   }
-
-  std::cerr << "perf_snapshot: event throughput...\n";
-  const BenchResult events = bench_event_throughput(reps);
-  std::cerr << "perf_snapshot: fan-out...\n";
-  const BenchResult fanout = bench_fanout(reps);
-  std::cerr << "perf_snapshot: calendar fan-out...\n";
-  const BenchResult calfan = bench_calendar_fanout(reps);
-  std::cerr << "perf_snapshot: broadcast delivery (n=" << n << ")...\n";
-  const BenchResult bcast = bench_broadcast_delivery(n, reps);
-  std::cerr << "perf_snapshot: service decided ops...\n";
-  const BenchResult service = bench_service_ops(reps);
-
-  std::ofstream out(out_path);
-  HYCO_CHECK_MSG(out.good(), "cannot open " << out_path);
-  // Schema 2 = schema 1 plus calendar_fanout and service_decided_ops; every
-  // schema-1 key keeps its exact name and shape so existing consumers (the
-  // CI perf guard's older revisions, plotting scripts) read both.
-  out << "{\n"
-      << "  \"schema\": \"hyco-bench-sim/2\",\n"
-      << "  \"config\": {\"n\": " << n << ", \"reps\": " << reps << "},\n"
-      << "  \"results\": {\n";
-  emit(out, "simulator_event_throughput", "events_per_sec", events);
-  emit(out, "simulator_fanout", "events_per_sec", fanout);
-  emit(out, "calendar_fanout", "events_per_sec", calfan);
-  emit(out, "network_broadcast_delivery", "msgs_per_sec", bcast);
-  out << "    \"service_decided_ops\": {\"items\": " << service.items
-      << ", \"ops_per_sec\": "
-      << static_cast<std::uint64_t>(service.best_rate) << "}"
-      << (baseline > 0.0 ? ",\n" : "\n");
-  if (baseline > 0.0) {
-    out << "    \"reference\": {\"pre_refactor_broadcast_msgs_per_sec\": "
-        << static_cast<std::uint64_t>(baseline)
-        << ", \"speedup\": " << bcast.best_rate / baseline << "}\n";
-  }
-  out << "  }\n}\n";
-  out.close();
-
-  std::cout << "event throughput:   "
-            << static_cast<std::uint64_t>(events.best_rate) << " events/sec\n"
-            << "fan-out:            "
-            << static_cast<std::uint64_t>(fanout.best_rate) << " events/sec\n"
-            << "calendar fan-out:   "
-            << static_cast<std::uint64_t>(calfan.best_rate) << " events/sec\n"
-            << "broadcast delivery: "
-            << static_cast<std::uint64_t>(bcast.best_rate) << " msgs/sec"
-            << " (peak queue depth " << bcast.peak_queue << ")\n"
-            << "service decided:    "
-            << static_cast<std::uint64_t>(service.best_rate)
-            << " ops/sec (wall)\n";
-  if (baseline > 0.0) {
-    std::cout << "speedup vs baseline: " << bcast.best_rate / baseline
-              << "x\n";
-  }
-  std::cout << "wrote " << out_path << "\n";
   return 0;
 }

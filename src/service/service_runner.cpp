@@ -13,7 +13,6 @@
 #include "service/traffic.h"
 #include "sim/trace.h"
 #include "util/assert.h"
-#include "util/rng.h"
 
 namespace hyco {
 
